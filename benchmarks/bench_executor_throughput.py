@@ -3,9 +3,9 @@
 The pre-tentpole executor spawned a fresh ``spawn`` pool inside every
 ``find_roots_scaled`` call, so service-style workloads (many
 polynomials, one process) paid interpreter-boot latency per call.  The
-persistent executor amortizes one pool across the batch and pipelines
-sign/gap tasks without per-node barriers; this bench quantifies the
-per-call dispatch overhead both ways on a multi-gap workload.
+persistent executor amortizes one pool across the batch and submits
+the whole batch at once, one polynomial per task; this bench
+quantifies the per-call dispatch overhead both ways.
 
 The cold baseline is emulated faithfully: a fresh
 :class:`~repro.sched.executor.ParallelRootFinder` (hence a fresh pool)
@@ -25,8 +25,7 @@ from repro.sched.executor import ParallelRootFinder
 MU = 16
 PROCESSES = 2
 
-#: Multi-gap inputs: each call dispatches sign+gap tasks across a
-#: multi-level interleaving tree (degrees 4-7).
+#: Multi-level interleaving trees (degrees 4-7).
 WORKLOAD_ROOTS = [
     [-9, -4, -1, 2, 5, 11],
     [-12, -6, 0, 3, 8],

@@ -496,7 +496,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             fallbacks = finder.fallback_count
             reliability = reliability_rollup(finder.metrics)
         print(f"{len(scaled)} roots, wall {elapsed:.3f}s "
-              f"(parent-side costs only; {fallbacks} fallbacks)")
+              f"(solved in a pool worker; {fallbacks} fallbacks)")
         print(counter.report())
         _print_parallel_rollup(parallel_rollup(tracer.spans))
         fired = {k: v for k, v in reliability.items() if v}
@@ -619,20 +619,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     registry = None
     if args.processes > 0:
-        # Parallel telemetry stage: the largest pinned input through the
-        # real executor, always traced so the utilization rollup and
-        # the queue-depth/worker-busy counter lanes exist.
+        # Parallel telemetry stage: the pinned grid as one batch through
+        # the real executor (one pool task per polynomial), always
+        # traced so the utilization rollup and the queue-depth/worker-
+        # busy counter lanes exist.
         counter = (session.counter if session.counter is not None
                    else counter_for(backend))
         tracer = session.tracer if session.tracer is not None else Tracer(
             counter=counter)
-        inp = square_free_characteristic_input(max(degrees), args.seed)
+        batch = [square_free_characteristic_input(n, args.seed).poly
+                 for n in degrees]
         t0 = time.perf_counter()
         with ParallelRootFinder(mu=digits_to_bits(args.digits),
                                 processes=args.processes, counter=counter,
                                 tracer=tracer,
                                 backend=backend.name) as finder:
-            finder.find_roots_scaled(inp.poly)
+            finder.find_roots_many(batch)
             parallel_wall = time.perf_counter() - t0
             reg = registry = finder.metrics
             from repro.obs.metrics import reliability_rollup
@@ -664,7 +666,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                     tracer=prof_tracer,
                                     profile=True,
                                     backend=backend.name) as pfinder:
-                pfinder.find_roots_scaled(inp.poly)
+                pfinder.find_roots_many(batch)
                 profiled_wall = time.perf_counter() - t0
                 folded = pfinder.profile_collapsed()
             overhead = ((profiled_wall - parallel_wall) / parallel_wall
@@ -722,7 +724,7 @@ def _batch_polys(args: argparse.Namespace) -> list[IntPoly]:
                     continue
                 try:
                     data = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # also an over-long integer literal
                     raise SystemExit(
                         f"{args.file}:{lineno}: not valid JSON: {e}"
                     ) from e
@@ -1251,8 +1253,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", help="per-phase cost report")
     _add_poly_args(sp)
     sp.add_argument("--parallel", type=int, default=0, metavar="N",
-                    help="run on a real N-process pool and report the "
-                         "utilization/parallel-efficiency rollup")
+                    help="solve in a worker of a real N-process pool and "
+                         "report the whole solve's costs, the worker "
+                         "utilization rollup and the reliability counters")
     sp.set_defaults(func=cmd_report)
 
     sp = sub.add_parser(
@@ -1318,8 +1321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("hybrid", "bisection", "newton"),
                     default="hybrid")
     sp.add_argument("--timeout", type=float, default=None,
-                    help="seconds to wait per task before retrying it "
-                         "elsewhere")
+                    help="seconds each polynomial (one pool task) may "
+                         "run on a worker before it is retried on another")
     sp.add_argument("--checkpoint", metavar="PATH",
                     help="streaming JSONL checkpoint: completed results "
                          "are appended as they finish, and a rerun with "

@@ -47,21 +47,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodePlan:
-    """Picklable description of one tree node's interval-stage work.
-
-    The real executor (:mod:`repro.sched.executor`) consumes a list of
-    these instead of the closure-based :class:`TaskGraph` (closures do
-    not cross process boundaries): same PREINTERVAL/INTERVAL task
-    granularity, same node-level dependencies, but every field is plain
-    data that pickles into a pool worker.
-
-    ``coeffs`` is the canonical coefficient tuple, but the executor does
-    *not* re-pickle it into each of the node's ``2*degree + 1`` task
-    payloads: it is interned once per node as a pre-pickled
-    ``(poly_key, blob)`` reference
-    (:func:`repro.sched.executor.intern_coeffs`) that workers unpickle
-    at most once each (content-addressed by the same sha256 ``poly_key``
-    the checkpoint/result-cache layers use).
+    """Picklable description of one tree node's interval-stage work:
+    the node polynomial, its root count, its parity anchor and the
+    children whose roots interleave its own, as plain data.
     """
 
     #: the tree node's ``(i, j)`` label.
@@ -76,28 +64,6 @@ class NodePlan:
     #: (empty children contribute no roots and no dependency).
     children: tuple[tuple[int, int], ...]
 
-    # -- logical task identities ----------------------------------------
-    # The executor keys retries, deduplication of late/stale results,
-    # and per-node degradation by *logical* task, not by submission
-    # attempt: one PREINTERVAL key per interleaving point, one INTERVAL
-    # key per gap.
-    def sign_task(self, t: int) -> tuple[str, tuple[int, int], int]:
-        """Logical key of this node's PREINTERVAL task ``t``
-        (``0 <= t <= degree``)."""
-        return ("sign", self.label, t)
-
-    def gap_task(self, gap: int) -> tuple[str, tuple[int, int], int]:
-        """Logical key of this node's INTERVAL task ``gap``
-        (``0 <= gap < degree``)."""
-        return ("gap", self.label, gap)
-
-    @property
-    def n_tasks(self) -> int:
-        """Pool tasks this node contributes: ``degree + 1`` endpoint
-        signs plus ``degree`` gap solves (0 for in-parent linear
-        nodes)."""
-        return 0 if self.degree == 1 else 2 * self.degree + 1
-
 
 def build_interval_plan(tree) -> list[NodePlan]:
     """Flatten a computed :class:`~repro.core.tree.InterleavingTree`
@@ -106,8 +72,7 @@ def build_interval_plan(tree) -> list[NodePlan]:
     The node polynomials must already be computed
     (:meth:`InterleavingTree.compute_polynomials`); raises
     :class:`ValueError` otherwise.  The last entry is always the root,
-    and every node's children precede it — the dependency-driven
-    dispatch order of the executor.
+    and every node's children precede it (dependency order).
     """
     plan: list[NodePlan] = []
     for node in tree.nodes_postorder():

@@ -170,6 +170,20 @@ class CostCounter:
             for name, st in self.stats.items()
         }
 
+    def absorb(
+        self, snap: dict[str, tuple[int, int, int, int, int, int]]
+    ) -> None:
+        """Add another counter's :meth:`snapshot` into this one, phase
+        by phase (how a pool worker's costs reach the caller's counter)."""
+        for name, (mc, mb, dc, db, ac, ab) in snap.items():
+            st = self.stats[name]
+            st.mul_count += mc
+            st.mul_bit_cost += mb
+            st.div_count += dc
+            st.div_bit_cost += db
+            st.add_count += ac
+            st.add_bit_cost += ab
+
     def diff(
         self, snap: dict[str, tuple[int, int, int, int, int, int]]
     ) -> dict[str, PhaseStats]:

@@ -14,9 +14,8 @@ flamegraph tooling (``flamegraph.pl``, speedscope, inferno);
 
 Two integration points:
 
-* the executor's worker task wrapper starts one profiler per worker
-  process (lazily, on the first profiled task) and returns each task's
-  folded samples with the task result — the parent merges them into
+* the executor's pool task runs under its own profiler and returns
+  its folded samples with the task result — the parent merges them into
   :meth:`repro.sched.executor.ParallelRootFinder.profile_collapsed`;
 * timestamped samples from the parent process fold into the Chrome
   trace as instant events on a dedicated ``profiler`` lane

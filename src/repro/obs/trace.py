@@ -208,6 +208,7 @@ class Tracer:
         exported: list[dict[str, Any]],
         label: str = "",
         key: Any | None = None,
+        end_ns: int | None = None,
     ) -> None:
         """Merge spans exported by another tracer (a pool worker).
 
@@ -219,7 +220,9 @@ class Tracer:
         another process and therefore not directly comparable; the
         adopted spans keep their relative timing but are shifted so the
         earliest one starts at the open parent's start (or at adoption
-        time with no open span).
+        time with no open span) — or, given ``end_ns``, so the latest
+        one ends there (the executor passes the moment a worker's result
+        arrived, which keeps one worker's tasks in sequence).
         """
         if not exported:
             return
@@ -232,11 +235,15 @@ class Tracer:
             self._next_track += 1
             if key is not None:
                 self._track_by_key[key] = track
-        t0 = min(d["start_ns"] for d in exported)
-        anchor = (
-            self.spans[parent].start_ns if parent is not None
-            else time.perf_counter_ns()
-        )
+        if end_ns is not None:
+            t0 = max(d["end_ns"] or d["start_ns"] for d in exported)
+            anchor = end_ns
+        else:
+            t0 = min(d["start_ns"] for d in exported)
+            anchor = (
+                self.spans[parent].start_ns if parent is not None
+                else time.perf_counter_ns()
+            )
         base_depth = (self.spans[parent].depth + 1) if parent is not None else 0
         for d in exported:
             sp = Span.from_dict(d)
@@ -295,6 +302,7 @@ class NullTracer(Tracer):
         exported: list[dict[str, Any]],
         label: str = "",
         key: Any | None = None,
+        end_ns: int | None = None,
     ) -> None:
         pass
 

@@ -13,7 +13,7 @@ holds the four pieces the executor and the finders thread through:
 - :mod:`repro.resilience.retry` — :class:`RetryPolicy`: per-task
   resubmission with exponential backoff before any degradation.
 - :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`: after K
-  consecutive pool failures, route task bodies to the parent process
+  consecutive pool failures, solve polynomials in the parent process
   for a cool-down, then half-open with a single probe task.
 - :mod:`repro.resilience.checkpoint` — :class:`BatchCheckpoint`:
   streaming JSONL checkpoint for ``repro batch`` so a killed batch run

@@ -6,8 +6,8 @@ decision (pool vs. in-parent execution):
 * **closed** — pool submissions allowed.  ``failure_threshold``
   *consecutive* task failures (worker exceptions, per-task timeouts)
   trip it open; any pool success resets the streak.
-* **open** — :meth:`allow` answers ``False``: the executor runs task
-  bodies in the parent process (sequential routing, exact answers)
+* **open** — :meth:`allow` answers ``False``: the executor solves
+  polynomials in the parent process (sequential routing, exact answers)
   until ``cooldown_seconds`` have elapsed on the injectable clock.
 * **half-open** — after the cool-down, exactly one submission is let
   through as a probe.  Probe success closes the breaker; probe failure

@@ -12,10 +12,11 @@ and shares it — along two axes:
 
 Checks are **cooperative**: the finders call :meth:`Budget.check` at
 phase boundaries (after the remainder sequence, after the tree, between
-interval problems) and the executor checks once per dispatch-loop
-event.  An overrun raises :class:`BudgetExceeded` carrying a
-:class:`PartialResult` with every top-level root certified so far —
-callers keep what was paid for instead of getting nothing.
+interval problems); the executor hands each worker what remains of
+the budget and checks once per dispatch-loop event.  An overrun raises
+:class:`BudgetExceeded` carrying a :class:`PartialResult` with every
+top-level root certified so far — callers keep what was paid for
+instead of getting nothing.
 
 The clock is injectable for deterministic tests; bit cost is exact and
 deterministic by construction.
@@ -92,10 +93,10 @@ class Budget:
         Wall-clock allowance measured on ``clock`` (monotonic seconds).
     max_bit_ops:
         Quadratic bit-cost allowance measured as the delta of the
-        attached counter's ``total_bit_cost`` since start.  Only costs
-        the counter actually sees are charged — in the parallel
-        executor that is the parent-side remainder/tree work (worker
-        costs stay worker-local).
+        attached counter's ``total_bit_cost`` since start.  In the
+        parallel executor each worker enforces what remains of the
+        ceiling on its own solve, and the parent's counter absorbs
+        every worker's costs, so the whole solve is charged.
     clock:
         Injectable monotonic clock, for deterministic tests.  The
         default is ``time.monotonic`` — the same timebase the

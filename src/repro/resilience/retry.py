@@ -1,9 +1,8 @@
 """Per-task retry policy with exponential backoff.
 
 The executor resubmits a failed/timed-out/killed task to a fresh
-worker up to ``max_retries`` times before degrading that task to the
-parent process (per-node sequential fallback — see
-docs/RESILIENCE.md).  The backoff schedule is deterministic (no
+worker up to ``max_retries`` times before solving that polynomial in
+the parent process (see docs/RESILIENCE.md).  The backoff schedule is deterministic (no
 jitter): retries are scheduled, not slept, so the dispatch loop keeps
 servicing other completions while a backoff elapses, and tests can
 assert exact retry counts.

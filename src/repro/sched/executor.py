@@ -1,85 +1,39 @@
-"""Real process-based parallel execution of the interval problems.
+"""Real process-pool execution: one pool task per polynomial.
 
-The discrete-event simulator (:mod:`repro.sched.simulator`) is the
-faithful instrument for the paper's speedup study (see DESIGN.md: the
-GIL rules out threaded bigint parallelism).  This module demonstrates
-that the task decomposition *also* runs on real OS processes — and
-does so in a service-style shape: one **persistent** worker pool
-(spawned lazily, reused across calls, explicit ``close()`` /
-context-manager lifecycle) consumes a picklable rendering of the
-Section-3 task structure (:func:`repro.core.tasks.build_interval_plan`)
-with dependency-driven ``apply_async`` dispatch.
+The simulator (:mod:`repro.sched.simulator`) reproduces the paper's
+parallel study at the paper's task grain (Tables 3-7).  Sent across
+pickling process boundaries that grain lost to in-process solving at
+every degree measured, so this module sends **whole polynomials** to
+one persistent ``spawn`` pool: each task runs
+:class:`~repro.core.rootfinder.RealRootFinder` on one input with the
+finder's ``mu``, ``strategy``, ``check_tree`` and ``backend``, so the
+answers are the sequential finder's, bit for bit.  Parallelism comes
+from batches (:meth:`ParallelRootFinder.find_roots_many`).
 
-Compared with the original per-call ``Pool`` + per-node ``pool.map``
-design, three things changed:
-
-* **Pipelined dispatch** — PREINTERVAL (endpoint-sign) and INTERVAL
-  (gap-solve) tasks are submitted the moment their inputs exist.  Gaps
-  from independent subtrees run concurrently; there is no barrier at
-  tree-node boundaries.
-* **Shared endpoint signs** — each interleaving point's sign is
-  evaluated once by a PREINTERVAL task and reused by both adjacent
-  gaps, halving endpoint evaluations vs. the old
-  ``solve_gap_standalone`` per-gap dispatch (Sagraloff's point that
-  evaluation counts dominate applies squarely here).
-* **Resilience** (:mod:`repro.resilience`) — every submission is a
-  *logical task* that survives its attempts: a timed-out, poisoned, or
-  killed attempt is retried on a fresh worker with exponential backoff
-  (:class:`~repro.resilience.retry.RetryPolicy`), a task that exhausts
-  its retries runs **in the parent process** (per-node sequential
-  degradation — completed sign/gap results are kept, nothing is
-  recomputed), and a :class:`~repro.resilience.breaker.CircuitBreaker`
-  trips after consecutive pool failures to route whole stretches of
-  work in-parent for a cool-down before probing the pool again.  The
-  old whole-polynomial sequential fallback remains only for a broken
-  pool (dispatch failure / stalled scheduler).  A
-  :class:`~repro.resilience.budget.Budget` bounds a call by wall clock
-  and parent-side bit cost, raising
-  :class:`~repro.resilience.budget.BudgetExceeded` with the certified
-  roots completed so far.
-
-The root bound is :func:`repro.poly.roots_bounds.root_bound_bits` — the
-same helper the sequential finder uses — so both paths pose *identical*
-interval problems (same sentinels, same gap endpoints) and agree bit
-for bit.
-
-Observability: pass a :class:`repro.obs.trace.Tracer` and every worker
-captures its own spans (with per-task bit costs from a worker-local
-:class:`~repro.costmodel.counter.CostCounter`), ships them back through
-the pool, and the parent merges them onto per-worker lanes
-(``Tracer.adopt(spans, key=pid)``).  Pool lifecycle shows up as
-``pool.spawn`` / ``pool.close`` spans; reliability transitions as
-``executor_retry`` / ``executor_node_fallback`` / ``breaker_*`` /
-``executor_fallback`` events.
-
-Opt-in sampling profiling (``profile=True``) rides the same transport:
-each pool task lazily starts a worker-global
-:class:`repro.obs.profile.SamplingProfiler` from its task wrapper,
-drains the sampled stacks at task end, and ships them back *collapsed*
-(``{"stack;stack;leaf": count}``) alongside the trace spans; the parent
-merges every worker's fold plus its own dispatch-thread samples into
-:meth:`ParallelRootFinder.profile_collapsed` — ready for
-``flamegraph.pl`` or :func:`repro.obs.profile.write_collapsed`.
-
-Live telemetry rides along: every submit/complete transition samples
-queue depth and in-flight task count into the finder's
-:class:`~repro.obs.metrics.MetricsRegistry` and (when traced) into
-``Tracer.counters``, which export as Chrome-trace ``"ph": "C"``
-counter lanes next to the span lanes.  Reliability drift is counted in
-the same registry (see :data:`repro.obs.metrics.EXECUTOR_COUNTERS` and
-the glossary in docs/RESILIENCE.md) so the bench regression gate can
-watch it.  Post-run, :func:`repro.obs.rollup.parallel_rollup` turns the
-adopted worker spans into a utilization / idle-tail /
-parallel-efficiency summary.
+Each polynomial is a *logical task* (:mod:`repro.resilience`): a
+timed-out, poisoned or killed attempt is retried with backoff; a task
+out of retries, or refused by the open circuit breaker, is solved in
+the parent; a late result of an abandoned attempt is discarded as
+stale; only a broken pool sends the rest of a call down the counted
+sequential fallback.  The worker builds its
+:class:`~repro.resilience.budget.Budget` from what remains of the
+caller's, returns an overrun's
+:class:`~repro.resilience.budget.PartialResult` as data, and ships back
+its counter snapshot (absorbed by the parent's counter), span tree
+(adopted onto a per-pid lane under ``executor.dispatch``) and collapsed
+profile.  Every submit/complete samples queue depth and in-flight tasks
+into the :class:`~repro.obs.metrics.MetricsRegistry`; the reliability
+counters are glossed in docs/RESILIENCE.md.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import heapq
+import itertools
 import multiprocessing as mp
 import os
-import pickle
 import queue
 import signal
 import threading
@@ -87,254 +41,71 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial as _partial
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.core.interval import IntervalProblemSolver, solve_linear_scaled
-from repro.core.remainder import NotSquareFreeError, compute_remainder_sequence
-from repro.core.rootfinder import RealRootFinder, merge_sorted
-from repro.core.tree import InterleavingTree
-
-if TYPE_CHECKING:  # runtime import is deferred: repro.core.tasks
-    from repro.core.tasks import NodePlan  # imports repro.sched.graph
-    from repro.resilience.checkpoint import BatchCheckpoint
+from repro.core.interval import solve_linear_scaled
+from repro.core.rootfinder import RealRootFinder
 from repro.costmodel.backend import (
-    counter_for,
-    null_counter_for,
-    resolve_backend,
-)
+    counter_for, null_counter_for, resolve_backend)
 from repro.costmodel.counter import NULL_COUNTER, CostCounter, NullCounter
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import SamplingProfiler, collapse, merge_collapsed
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.poly.dense import IntPoly
-from repro.poly.roots_bounds import root_bound_bits
 from repro.resilience.breaker import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-)
-from repro.resilience.budget import Budget
+    BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker)
+from repro.resilience.budget import Budget, BudgetExceeded, PartialResult
 from repro.resilience.retry import RetryPolicy
 
-__all__ = [
-    "ParallelRootFinder",
-    "sign_worker",
-    "gap_worker",
-    "solve_gap_worker",
-    "intern_coeffs",
-]
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import BatchCheckpoint
+
+__all__ = ["ParallelRootFinder", "solve_worker"]
 
 
 class _Degraded(Exception):
-    """Internal: the pooled run cannot complete; fall back sequentially."""
+    """Internal: the pool cannot take work; solve the rest in-parent."""
 
 
 # -- worker side -----------------------------------------------------------
 
-#: Worker-local solver cache: repeated tasks against the same node
-#: polynomial (same call, or the same input across batched calls) skip
-#: re-deriving the derivative and evaluators.  Bounded so long-lived
-#: service pools do not accumulate stale polynomials.  The parent
-#: process shares this cache for in-parent (degraded) task execution.
-_SOLVER_CACHE: dict[tuple, IntervalProblemSolver] = {}
-_SOLVER_CACHE_MAX = 8
+def solve_worker(args: tuple) -> tuple:
+    """Pool worker: solve one whole polynomial with ``RealRootFinder``.
 
-#: Worker-local interned coefficient tuples, keyed by the parent's
-#: content hash (:func:`repro.resilience.checkpoint.poly_key`).  A node
-#: polynomial's coefficients are unpickled at most once per worker no
-#: matter how many of its 2*degree+1 tasks land here.  Bounded like the
-#: solver cache so long-lived service pools do not accumulate inputs.
-_COEFFS_CACHE: dict[str, tuple[int, ...]] = {}
-_COEFFS_CACHE_MAX = 32
-
-
-def intern_coeffs(
-    coeffs: tuple[int, ...], mu: int, strategy: str
-) -> tuple[str, bytes]:
-    """Parent-side: pre-pickle a node's coefficient tuple once.
-
-    Returns a ``(poly_key, blob)`` reference that every task payload for
-    the node carries instead of the raw tuple.  Pickling the payload
-    then copies ``blob`` (a flat bytes memcpy) rather than re-walking a
-    tuple of big integers per task — for a degree-``d`` node that cuts
-    the coefficient serialization from ``2d+1`` traversals to one.
+    ``args = (coeffs, mu, strategy, check_tree, backend, counted, trace,
+    profile, deadline_seconds, max_bit_ops)``; the last two are what
+    remains of the caller's budget (``None`` = unbounded).  Returns
+    ``(outcome, costs, spans, folded)``: the ascending scaled roots, a
+    budget overrun's :class:`PartialResult`, or the exception the solve
+    raised (the same on every attempt, so the parent re-raises it);
+    then the counter snapshot, the span export and the collapsed
+    profile, each ``None`` when not asked for.
     """
-    from repro.resilience.checkpoint import poly_key
-
-    cs = tuple(coeffs)
-    return (poly_key(cs, mu, strategy),
-            pickle.dumps(cs, pickle.HIGHEST_PROTOCOL))
-
-
-def _resolve_coeffs(ref: Any) -> tuple[int, ...]:
-    """Worker-side: turn a payload's coefficient slot into the tuple.
-
-    Accepts either an interned ``(key, blob)`` reference from
-    :func:`intern_coeffs` (unpickled once per worker per key via
-    ``_COEFFS_CACHE``) or a raw coefficient sequence (legacy payloads,
-    in-parent execution, tests).
-    """
-    if (isinstance(ref, tuple) and len(ref) == 2
-            and isinstance(ref[1], (bytes, bytearray))):
-        key, blob = ref
-        cs = _COEFFS_CACHE.get(key)
-        if cs is None:
-            if len(_COEFFS_CACHE) >= _COEFFS_CACHE_MAX:
-                _COEFFS_CACHE.clear()
-            cs = tuple(pickle.loads(blob))
-            _COEFFS_CACHE[key] = cs
-        return cs
-    return tuple(ref)
-
-
-def _cached_solver(
-    coeffs: tuple[int, ...], mu: int, r_bits: int, strategy: str,
-    backend: str = "python",
-) -> IntervalProblemSolver:
-    key = (coeffs, mu, r_bits, strategy, backend)
-    solver = _SOLVER_CACHE.get(key)
-    if solver is None:
-        if len(_SOLVER_CACHE) >= _SOLVER_CACHE_MAX:
-            _SOLVER_CACHE.clear()
-        solver = IntervalProblemSolver(
-            IntPoly(coeffs), mu, r_bits, strategy=strategy,
-            counter=null_counter_for(backend),
-        )
-        _SOLVER_CACHE[key] = solver
-    return solver
-
-
-def _traced_solver(
-    coeffs: tuple[int, ...], mu: int, r_bits: int, strategy: str,
-    backend: str = "python",
-) -> tuple[IntervalProblemSolver, Tracer, int]:
-    pid = os.getpid()
-    counter = counter_for(backend)
-    tracer = Tracer(counter=counter)
-    solver = IntervalProblemSolver(
-        IntPoly(coeffs), mu, r_bits, counter=counter,
-        strategy=strategy, tracer=tracer, label=f"pid{pid}",
+    (coeffs, mu, strategy, check_tree, backend, counted, trace, profile,
+     deadline, max_bits) = args
+    counted = counted or trace or max_bits is not None
+    counter = counter_for(backend) if counted else null_counter_for(backend)
+    tracer = Tracer(counter=counter) if trace else NULL_TRACER
+    budget = (Budget(deadline_seconds=deadline, max_bit_ops=max_bits)
+              if deadline is not None or max_bits is not None else None)
+    finder = RealRootFinder(
+        mu_bits=mu, check_tree=check_tree, counter=counter,
+        strategy=strategy, tracer=tracer, budget=budget, backend=backend,
     )
-    return solver, tracer, pid
-
-
-#: Worker-global sampling profiler, lazily started by the first
-#: profiled task this worker runs and reused (the timer thread keeps
-#: running between tasks; each task drops the idle-time samples).
-_WORKER_PROFILER: Any = None
-
-
-def _worker_profile_begin() -> Any:
-    """Start (or reuse) this process's sampling profiler for one task.
-
-    Samples accumulated since the previous task — pool-idle stacks —
-    are discarded so each task ships only its own stacks; ``start()``
-    also records an anchor sample, so even a task shorter than one
-    sampling interval produces a non-empty profile.
-    """
-    global _WORKER_PROFILER
-    from repro.obs.profile import SamplingProfiler
-
-    if _WORKER_PROFILER is None:
-        _WORKER_PROFILER = SamplingProfiler()
-    _WORKER_PROFILER.drain()
-    if _WORKER_PROFILER.running:
-        _WORKER_PROFILER.sample_once()  # per-task anchor on reuse
-    else:
-        _WORKER_PROFILER.start()  # takes its own anchor sample
-    return _WORKER_PROFILER
-
-
-def _with_profile(spans: list[dict] | None, prof: Any) -> list[dict] | None:
-    """Append this task's collapsed profile to the span export.
-
-    The profile rides in the same ``spans`` list the tracer ships back
-    through the pool, as a dict *without* a ``"sid"`` key — the
-    parent's ``deliver`` splits it off before adopting the spans.
-    """
-    if prof is None:
-        return spans
-    from repro.obs.profile import collapse
-
-    entry = {"profile": collapse(prof.drain()), "pid": os.getpid()}
-    return (list(spans) if spans else []) + [entry]
-
-
-def sign_worker(args: tuple) -> tuple:
-    """Pool worker: one PREINTERVAL task — the sign of a node polynomial
-    just right of one interleaving point.
-
-    ``args = (label, t, y, coeffs, mu, r_bits, strategy, trace[,
-    profile[, backend]])``; the ``coeffs`` slot is either a raw tuple
-    or an interned ``(poly_key, blob)`` reference from
-    :func:`intern_coeffs`.  Returns ``("sign", label, t, sign, spans)``
-    where ``spans`` is the worker tracer's export when ``trace`` is
-    truthy (else ``None``), with the task's collapsed stack profile
-    appended when ``profile`` is truthy.  Module-level so it pickles.
-    """
-    label, t, y, coeffs, mu, r_bits, strategy, trace = args[:8]
-    prof = _worker_profile_begin() if len(args) > 8 and args[8] else None
-    backend = args[9] if len(args) > 9 else "python"
-    coeffs = _resolve_coeffs(coeffs)
-    if not trace:
-        solver = _cached_solver(coeffs, mu, r_bits, strategy, backend)
-        s = solver.preinterval_sign(y)
-        return ("sign", label, t, s, _with_profile(None, prof))
-    solver, tracer, pid = _traced_solver(coeffs, mu, r_bits, strategy,
-                                         backend)
-    with tracer.span("sign", phase="interval.preinterval",
-                     node=list(label), t=t, pid=pid):
-        s = solver.preinterval_sign(y)
-    return ("sign", label, t, s, _with_profile(tracer.export(), prof))
-
-
-def gap_worker(args: tuple) -> tuple:
-    """Pool worker: one INTERVAL task — solve gap ``i`` of a node given
-    both endpoint signs (shared with the adjacent gaps' tasks).
-
-    ``args = (label, gap, left, right, s_left, s_right, sign_at_neg_inf,
-    coeffs, mu, r_bits, strategy, trace[, profile[, backend]])``; the
-    ``coeffs`` slot accepts the same raw-tuple or interned forms as
-    :func:`sign_worker`.  Returns ``("gap", label, gap, scaled_root,
-    spans)`` (profile handling as in :func:`sign_worker`).
-    Module-level so it pickles.
-    """
-    (label, gap, left, right, s_left, s_right, s_inf,
-     coeffs, mu, r_bits, strategy, trace) = args[:12]
-    prof = _worker_profile_begin() if len(args) > 12 and args[12] else None
-    backend = args[13] if len(args) > 13 else "python"
-    coeffs = _resolve_coeffs(coeffs)
-    if not trace:
-        solver = _cached_solver(coeffs, mu, r_bits, strategy, backend)
-        val = solver.solve_gap(gap, left, right, s_left, s_right, s_inf)
-        return ("gap", label, gap, val, _with_profile(None, prof))
-    solver, tracer, pid = _traced_solver(coeffs, mu, r_bits, strategy,
-                                         backend)
-    with tracer.span("gap", phase="interval",
-                     node=list(label), gap=gap, pid=pid):
-        val = solver.solve_gap(gap, left, right, s_left, s_right, s_inf)
-    return ("gap", label, gap, val, _with_profile(tracer.export(), prof))
-
-
-def solve_gap_worker(args: tuple) -> tuple[int, int, list[dict] | None]:
-    """Pool worker: solve one interval problem *standalone* (recomputing
-    both endpoint signs) — the legacy per-gap task body, kept for
-    direct use and comparison against the shared-sign pipeline.
-
-    ``args = (coeffs, mu, r_bits, gap_index, left, right[, trace])``;
-    returns ``(gap_index, scaled_root, spans)`` where ``spans`` is the
-    worker tracer's export when ``trace`` is truthy (else ``None``).
-    Module-level so it pickles.
-    """
-    coeffs, mu, r_bits, gap, left, right = args[:6]
-    trace = bool(args[6]) if len(args) > 6 else False
-    if not trace:
-        solver = IntervalProblemSolver(IntPoly(coeffs), mu, r_bits)
-        return gap, solver.solve_gap_standalone(gap, left, right), None
-    solver, tracer, pid = _traced_solver(tuple(coeffs), mu, r_bits, "hybrid")
-    with tracer.span("gap", phase="interval", gap=gap, pid=pid):
-        val = solver.solve_gap_standalone(gap, left, right)
-    return gap, val, tracer.export()
+    p = IntPoly(coeffs)
+    prof = SamplingProfiler() if profile else None
+    outcome: Any
+    try:
+        with prof or contextlib.nullcontext(), \
+                tracer.span("solve", pid=os.getpid(), degree=p.degree):
+            outcome = finder.find_roots(p).scaled
+    except BudgetExceeded as exc:
+        outcome = exc.partial
+    except Exception as exc:  # the solve's own verdict, not a pool fault
+        outcome = exc
+    return (outcome, counter.snapshot() if counted else None,
+            tracer.export() if trace else None,
+            collapse(prof.drain()) if prof is not None else None)
 
 
 # -- parent side -----------------------------------------------------------
@@ -345,115 +116,71 @@ class ParallelRootFinder:
     """Multiprocessing variant of :class:`repro.core.rootfinder.RealRootFinder`
     built around one persistent worker pool.
 
-    The pool is spawned lazily on the first call and reused by every
-    subsequent :meth:`find_roots_scaled` / :meth:`find_roots_many`
-    until :meth:`close` (also a context manager).  Dispatch is
-    dependency-driven: per-node PREINTERVAL sign tasks start as soon as
-    the node's children have delivered their roots, and each gap's
-    INTERVAL task starts as soon as its two endpoint signs exist —
-    independent subtrees overlap freely.
-
-    Degenerate inputs behave exactly like the sequential finder:
-    ``ValueError`` on the zero polynomial, ``[]`` for constants, and a
-    square-free-decomposition fallback for repeated roots.  A failed or
-    timed-out task is retried on a fresh worker (``retry``), then — if
-    retries are exhausted or the circuit breaker is open — executed in
-    the parent process, keeping every result already computed; only a
-    broken pool degrades the whole call to the sequential path
-    (counted in :attr:`fallback_count`, logged via the tracer).  A call
-    always returns the exact answer.
+    The pool is spawned on the first call that needs it and reused
+    until :meth:`close`.  Each polynomial of degree >= 2 is one pool
+    task; constants and linear inputs are answered in the parent.
+    Degenerate inputs behave like the sequential finder: ``ValueError``
+    on the zero polynomial, ``[]`` for constants, the square-free
+    reduction (in the worker) for repeated roots.  A call always
+    returns the exact answer.
 
     Parameters
     ----------
     mu:
         Output precision in bits (scaled grid is ``2**-mu``).
     processes:
-        Pool size.  Dead workers are respawned by the pool itself; a
-        broken pool is replaced on the next call.
-    check_tree:
-        Assert Theorem 1's conclusions at every tree node — same
-        default as the sequential finder.
-    strategy:
-        Interval-solver strategy (``hybrid`` / ``bisection`` /
-        ``newton``), applied inside every worker.  May be changed
-        between calls; the pool is strategy-agnostic.
+        Pool size.  The pool respawns dead workers; a broken pool is
+        replaced on the next call.
+    check_tree / strategy / backend:
+        As for the sequential finder, applied in every worker; may be
+        changed between calls.  ``backend`` is resolved at
+        construction (docs/BACKENDS.md).
     task_timeout:
-        Per-task deadline in seconds, measured from each submission
-        (``None`` = wait forever).  An attempt that misses its deadline
-        is abandoned (a late result is discarded as stale) and the
-        logical task is retried or run in-parent.
+        Per-task deadline in seconds (``None`` = wait forever), timed
+        from when the task can hold a worker: queueing behind earlier
+        polynomials is not charged.  A late attempt is abandoned and the
+        task retried or solved in-parent.
     retry:
-        :class:`~repro.resilience.retry.RetryPolicy` for failed/timed-
-        out tasks (default: 2 retries, exponential backoff).  Pass
-        ``RetryPolicy(max_retries=0)`` to degrade straight to in-parent
-        execution.
+        :class:`~repro.resilience.retry.RetryPolicy` for failed tasks
+        (default 2 retries, exponential backoff); ``max_retries=0``
+        degrades straight to in-parent solving.
     breaker:
-        :class:`~repro.resilience.breaker.CircuitBreaker` guarding the
-        pool, shared across every call this finder serves.  After
-        ``failure_threshold`` consecutive task failures it opens and
-        task bodies run in-parent until the cool-down elapses and a
-        probe task succeeds.  State transitions increment the
-        ``executor.breaker_*`` counters and emit ``breaker_*`` tracer
-        events.
+        :class:`~repro.resilience.breaker.CircuitBreaker` shared by
+        every call: while open, polynomials are solved in-parent.
+        Transitions count ``executor.breaker_*`` and emit
+        ``breaker_*`` tracer events.
     budget:
-        Optional :class:`~repro.resilience.budget.Budget`.  Checked
-        cooperatively at phase boundaries and once per dispatch-loop
-        event; an overrun raises
-        :class:`~repro.resilience.budget.BudgetExceeded` carrying the
-        top-level roots already completed.  The bit-cost axis sees the
-        parent-side counter only (worker costs stay worker-local).
+        Optional :class:`~repro.resilience.budget.Budget`, started on
+        the first dispatching call.  Each task carries what remains of
+        it into the worker; the parent checks it once per dispatch-loop
+        event.  An overrun raises
+        :class:`~repro.resilience.budget.BudgetExceeded`.
     counter:
-        Parent-side cost counter for the remainder/tree phases (worker
-        costs stay worker-local and return only through trace spans).
+        Charged with every solve's bit cost: a charging counter makes
+        each worker count its whole solve and ship the snapshot back.
     tracer:
-        Observability hook; see the module docstring.
+        Observability hook (see the module docstring).
     metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` accumulating live
-        executor telemetry across every call this finder serves: the
-        ``executor.queue_depth`` / ``executor.in_flight`` gauges and
-        the ``executor.queue_depth.samples`` histogram (sampled at
-        every submit/complete event), plus the reliability counters
-        (``executor.fallbacks``, ``executor.retries``,
-        ``executor.task_timeouts``, ``executor.worker_failures``,
-        ``executor.inline_tasks``, ``executor.stale_results``,
-        ``executor.breaker_*``, ...) the regression gate watches.  A
-        fresh registry is created per finder unless one is passed in.
+        :class:`~repro.obs.metrics.MetricsRegistry` for the
+        ``executor.queue_depth`` / ``executor.in_flight`` gauges, the
+        ``executor.queue_depth.samples`` histogram and the reliability
+        counters (:data:`repro.obs.metrics.EXECUTOR_COUNTERS`).
     faults:
-        Optional deterministic fault-injection plan (an object with an
-        ``intercept(dispatch_index, fn, payload, finder)`` method — see
-        :class:`repro.verify.faults.FaultPlan`).  Consulted once per
-        pool submission (retries consume fresh indices), and may
-        replace the task body; ``None`` (the default) is zero-overhead.
-        In-parent execution always runs the *original* task body.
-        Test-only: the production dispatch path never sets it.
-    profile:
-        Enable sampling profiling: each pool task runs under its
-        worker's :class:`~repro.obs.profile.SamplingProfiler` and ships
-        its collapsed stacks back with the result, and the parent
-        samples its own dispatch thread.  Read the merged result via
-        :meth:`profile_collapsed` / :attr:`profile_samples`.  Off by
-        default — the profiler costs a few percent of wall time.
-    profile_interval:
-        Sampling period in seconds for the parent-side profiler
-        (workers use the module default).
+        Test-only fault-injection plan with an ``intercept(
+        dispatch_index, fn, payload, finder)`` method (see
+        :class:`repro.verify.faults.FaultPlan`), consulted once per pool
+        submission; retries take fresh indices.
+    profile / profile_interval:
+        Sample every pool task in its worker and the parent's dispatch
+        thread (at ``profile_interval`` seconds); read the merge via
+        :meth:`profile_collapsed` / :attr:`profile_samples`.
     sample_hook:
-        Optional callable ``(queue_depth, in_flight)`` invoked at every
-        dispatch-loop telemetry sample (the same submit/complete sites
-        that update the ``executor.queue_depth`` gauge).  This is how
-        ``repro serve`` reads the executor's live backlog for admission
-        control without polling the registry.  Exceptions are swallowed
-        — a telemetry consumer must never break dispatch.
+        Optional ``(queue_depth, in_flight)`` callable invoked at every
+        telemetry sample — how ``repro serve`` sees the executor's
+        backlog.  Its exceptions are swallowed.
     request_tag:
-        Opaque request tag stamped onto the ``executor.dispatch``
-        span's attrs as ``request_id`` (``None`` adds nothing) — how
-        the serve daemon ties a solve's span tree back to the request
-        that asked for it.
-    backend:
-        Arithmetic backend name (``"python"``/``"gmpy2"``/``"mpint"``/
-        ``"auto"``; see docs/BACKENDS.md).  Threaded into every worker
-        task payload so the pool's arithmetic runs on it, and into the
-        parent-side remainder/tree phases.  Resolved and validated at
-        construction; results are bit-identical across backends.
+        Stamped onto the ``executor.dispatch`` span as ``request_id``
+        (``None`` adds nothing), tying a solve's spans to its request.
     """
 
     mu: int
@@ -471,13 +198,7 @@ class ParallelRootFinder:
     profile: bool = False
     profile_interval: float = 0.005
     sample_hook: Any = None
-    #: Opaque request tag stamped onto the ``executor.dispatch`` span's
-    #: attrs as ``request_id`` — how ``repro serve`` attributes a
-    #: solve's span tree to the request that asked for it.  ``None``
-    #: (the default) adds nothing.
     request_tag: Any = None
-    #: Arithmetic backend for worker and parent-side arithmetic
-    #: (resolved/validated in ``__post_init__``; see docs/BACKENDS.md).
     backend: str = "python"
     #: parent-side timestamped profiler samples (``(t_ns, stack)``,
     #: same clock as tracer spans) — feed to ``spans_to_chrome``'s
@@ -486,9 +207,8 @@ class ParallelRootFinder:
                                   repr=False)
     _profile_folded: dict = field(default_factory=dict, init=False,
                                   repr=False)
-    #: whole-polynomial sequential degradations so far (repeated roots,
-    #: broken pool); parity tests assert it stays 0 on the happy path
-    #: *and* under single-task faults (those are absorbed by retries).
+    #: polynomials solved sequentially because the pool broke (0 under
+    #: task faults too: retries and in-parent tasks absorb those).
     fallback_count: int = field(default=0, init=False)
     _pool: Any = field(default=None, init=False, repr=False)
 
@@ -520,12 +240,9 @@ class ParallelRootFinder:
             self.counter = counter_for(self.backend)
 
     def _on_breaker_transition(self, old: str, new: str) -> None:
-        name = {
-            BREAKER_OPEN: "executor.breaker_open",
-            BREAKER_HALF_OPEN: "executor.breaker_half_open",
-            BREAKER_CLOSED: "executor.breaker_close",
-        }[new]
-        self.metrics.counter(name).inc()
+        suffix = {BREAKER_OPEN: "open", BREAKER_HALF_OPEN: "half_open",
+                  BREAKER_CLOSED: "close"}[new]
+        self.metrics.counter(f"executor.breaker_{suffix}").inc()
         self.tracer.event(
             f"breaker_{new}", previous=old,
             consecutive_failures=self.breaker.consecutive_failures,
@@ -622,101 +339,65 @@ class ParallelRootFinder:
     def find_roots_scaled(self, p: IntPoly) -> list[int]:
         """Scaled mu-approximations of all distinct real roots, ascending
         (exact; bit-identical to the sequential finder)."""
-        tracer = self.tracer
-        budget = self.budget
-        if p.is_zero():
-            raise ValueError("the zero polynomial has every number as a root")
-        if p.leading_coefficient < 0:
-            p = -p
-        if p.degree == 0:
-            return []
-        if p.degree == 1:
-            return [solve_linear_scaled(p, self.mu)]
-        if budget is not None:
-            budget.start(self.counter)
-            budget.check(phase="remainder", mu=self.mu, degree=p.degree)
-        try:
-            seq = compute_remainder_sequence(p, self.counter, tracer)
-        except NotSquareFreeError:
-            tracer.event("executor_fallback", reason="not_square_free",
-                         degree=p.degree)
-            return self._sequential_scaled(p)
-        if budget is not None:
-            budget.check(phase="tree", mu=self.mu, degree=p.degree)
-        with tracer.span("tree.compute_polynomials", phase="tree",
-                         degree=p.degree):
-            tree = InterleavingTree(seq)
-            tree.compute_polynomials(self.counter, check=self.check_tree,
-                                     tracer=tracer)
-        if budget is not None:
-            budget.check(phase="interval", mu=self.mu, degree=p.degree)
-        # Deferred import (cycle: repro.core.tasks -> repro.sched.graph
-        # -> repro.sched package -> this module).
-        from repro.core.tasks import build_interval_plan
-
-        r_bits = root_bound_bits(p)
-        plan = build_interval_plan(tree)
-        tag = ({"request_id": self.request_tag}
-               if self.request_tag is not None else {})
-        try:
-            with self._parent_profiler(), \
-                    tracer.span("executor.dispatch", phase="interval",
-                                degree=p.degree, nodes=len(plan), **tag):
-                return self._run_plan(plan, r_bits)
-        except _Degraded as exc:
-            tracer.event("executor_fallback", reason=str(exc),
-                         degree=p.degree)
-            self._discard_pool()
-            return self._sequential_scaled(p)
+        return self._run([p])[0]
 
     def find_roots_many(
         self,
         polys: Sequence[IntPoly],
         checkpoint: "BatchCheckpoint | None" = None,
     ) -> list[list[int]]:
-        """Batched throughput API: solve many polynomials on one warm pool.
-
-        The pool is spawned once (if not already live) and stays warm
-        across the whole batch — the service-style shape where per-call
-        pool startup would otherwise dominate.  Results are in input
-        order, each exactly what :meth:`find_roots_scaled` returns.
+        """Batched throughput API: every polynomial not already in
+        ``checkpoint`` is submitted at once, one pool task each.
+        Results are in input order, each exactly what
+        :meth:`find_roots_scaled` returns.
 
         ``checkpoint`` (a :class:`~repro.resilience.checkpoint.
-        BatchCheckpoint`) makes the batch resumable: every completed
-        polynomial is durably appended as it finishes, and polynomials
-        already present are answered from the checkpoint without
-        re-solving (counted in ``executor.checkpoint_hits``).  If the
-        run dies — including via a
-        :class:`~repro.resilience.budget.BudgetExceeded` bubbling up —
-        a rerun with the same checkpoint continues where it stopped.
+        BatchCheckpoint`) makes the batch resumable: each polynomial is
+        durably recorded as it completes, and polynomials already in it
+        are answered without re-solving (``executor.checkpoint_hits``).
+        A rerun with the same checkpoint continues where a dead run — a
+        :class:`~repro.resilience.budget.BudgetExceeded` included —
+        stopped.
         """
-        out: list[list[int]] = []
+        out: list[Any] = [None] * len(polys)
+        todo: list[int] = []
+        keys: dict[int, str] = {}
         with self.tracer.span("executor.batch", phase="interval",
                               count=len(polys)):
-            for p in polys:
-                key = None
+            for i, p in enumerate(polys):
                 if checkpoint is not None:
-                    key = checkpoint.key_for(p.coeffs)
-                    cached = checkpoint.get(key)
+                    keys[i] = checkpoint.key_for(p.coeffs)
+                    cached = checkpoint.get(keys[i])
                     if cached is not None:
                         checkpoint.hit()
                         self.metrics.counter("executor.checkpoint_hits").inc()
-                        self.tracer.event("checkpoint_hit", index=len(out),
+                        self.tracer.event("checkpoint_hit", index=i,
                                           degree=p.degree)
-                        out.append(cached)
+                        out[i] = cached
                         continue
-                scaled = self.find_roots_scaled(p)
-                if checkpoint is not None and key is not None:
-                    checkpoint.record(key, len(out), scaled)
-                out.append(scaled)
+                todo.append(i)
+
+            def done(k: int, scaled: list[int]) -> None:
+                out[todo[k]] = scaled
+                if checkpoint is not None:
+                    checkpoint.record(keys[todo[k]], todo[k], scaled)
+
+            self._run([polys[i] for i in todo], done)
         return out
+
+    def profile_collapsed(self) -> dict[str, int]:
+        """Merged collapsed-stack profile of every profiled call so far:
+        worker task folds plus the parent dispatch thread's samples, in
+        flamegraph.pl's format (``{"root;child;leaf": count}``).  Empty
+        unless the finder was built with ``profile=True`` and has run.
+        """
+        return merge_collapsed(self._profile_folded,
+                               collapse(self.profile_samples))
 
     # -- internals -------------------------------------------------------
     def _sequential_scaled(self, p: IntPoly) -> list[int]:
-        """Whole-polynomial degradation path: same parameters, same
-        answer (used only when the pooled run cannot complete at all)."""
-        self.fallback_count += 1
-        self.metrics.counter("executor.fallbacks").inc()
+        """In-parent solve with the finder's parameters, hence the same
+        answer as a worker's."""
         finder = RealRootFinder(
             mu_bits=self.mu, check_tree=self.check_tree,
             counter=self.counter, strategy=self.strategy, tracer=self.tracer,
@@ -724,108 +405,109 @@ class ParallelRootFinder:
         )
         return finder.find_roots(p).scaled
 
-    @contextlib.contextmanager
-    def _parent_profiler(self):
-        """Sample the parent dispatch thread while profiling is on."""
-        if not self.profile:
-            yield
-            return
-        from repro.obs.profile import SamplingProfiler
-
-        prof = SamplingProfiler(interval=self.profile_interval)
-        prof.start()
-        try:
-            yield
-        finally:
-            prof.stop()
-            self.profile_samples.extend(prof.drain())
-
-    def _merge_profile(self, folded: Any) -> None:
-        for stack, n in (folded or {}).items():
-            self._profile_folded[stack] = (
-                self._profile_folded.get(stack, 0) + n
-            )
-
-    def profile_collapsed(self) -> dict[str, int]:
-        """Merged collapsed-stack profile of every profiled call so far.
-
-        Worker-side task folds plus the parent dispatch thread's
-        samples, in flamegraph.pl's collapsed format
-        (``{"root;child;leaf": count}``).  Empty unless the finder was
-        constructed with ``profile=True`` and has run.
-        """
-        from repro.obs.profile import collapse, merge_collapsed
-
-        return merge_collapsed(self._profile_folded,
-                               collapse(self.profile_samples))
-
-    def _run_plan(self, plan: "list[NodePlan]", r_bits: int) -> list[int]:
-        """Dependency-driven dispatch of one plan over the shared pool.
-
-        Every PREINTERVAL/INTERVAL submission is a *logical task* keyed
-        by ``NodePlan.sign_task`` / ``NodePlan.gap_task``.  Attempts
-        against the pool may time out or fail; the logical task then
-        retries with backoff, and finally runs in-parent.  Late results
-        from abandoned attempts are discarded as stale, so each logical
-        task completes exactly once.
-        """
-        pool = self._ensure_pool()
-        tracer = self.tracer
-        capture = tracer.enabled
-        profiled = self.profile
-        mu = self.mu
-        strategy = self.strategy
-        backend = self.backend
-        retry = self.retry
-        breaker = self.breaker
+    def _payload(self, p: IntPoly) -> tuple:
+        """:func:`solve_worker`'s arguments for ``p``, with what remains
+        of the budget right now."""
+        deadline = max_bits = None
         budget = self.budget
+        if budget is not None and budget.deadline_seconds is not None:
+            deadline = max(0.0, budget.deadline_seconds
+                           - budget.elapsed_seconds())
+        if budget is not None and budget.max_bit_ops is not None:
+            max_bits = max(0, budget.max_bit_ops - budget.spent_bit_ops())
+        return (p.coeffs, self.mu, self.strategy, self.check_tree,
+                self.backend, not isinstance(self.counter, NullCounter),
+                self.tracer.enabled, self.profile, deadline, max_bits)
+
+    def _run(
+        self,
+        polys: Sequence[IntPoly],
+        on_done: Callable[[int, list[int]], None] = lambda i, scaled: None,
+    ) -> list[list[int]]:
+        """Answer ``polys`` in order, calling ``on_done(index, scaled)``
+        as each completes.  Constants and linear inputs are answered
+        here; the rest go to :meth:`_dispatch`."""
+        results: list[Any] = [None] * len(polys)
+        pending: list[int] = []
+        for i, p in enumerate(polys):
+            if p.is_zero():
+                raise ValueError(
+                    "the zero polynomial has every number as a root")
+            if p.degree >= 2:
+                pending.append(i)
+                continue
+            if p.leading_coefficient < 0:
+                p = -p
+            results[i] = ([solve_linear_scaled(p, self.mu)]
+                          if p.degree == 1 else [])
+            on_done(i, results[i])
+        if not pending:
+            return results
+        degree = max(polys[i].degree for i in pending)
+        if self.budget is not None:
+            self.budget.start(self.counter)
+            self.budget.check(phase="remainder", mu=self.mu, degree=degree)
+        tag = ({"request_id": self.request_tag}
+               if self.request_tag is not None else {})
+        prof = (SamplingProfiler(interval=self.profile_interval)
+                if self.profile else None)
+        try:
+            with prof or contextlib.nullcontext(), \
+                    self.tracer.span("executor.dispatch", phase="interval",
+                                     degree=degree, tasks=len(pending),
+                                     **tag):
+                self._dispatch(polys, pending, results, on_done, degree)
+        except _Degraded as exc:
+            self.tracer.event("executor_fallback", reason=str(exc),
+                              degree=degree)
+            self._discard_pool()
+            for i in pending:
+                if results[i] is None:
+                    self.fallback_count += 1
+                    self.metrics.counter("executor.fallbacks").inc()
+                    results[i] = self._sequential_scaled(polys[i])
+                    on_done(i, results[i])
+        finally:
+            if prof is not None:
+                self.profile_samples.extend(prof.drain())
+        return results
+
+    def _dispatch(
+        self,
+        polys: Sequence[IntPoly],
+        pending: list[int],
+        results: list[Any],
+        on_done: Callable[[int, list[int]], None],
+        degree: int,
+    ) -> None:
+        """Solve ``polys[i]`` on the pool for each ``i`` in ``pending``:
+        a *logical task* with at most one live attempt, retried with
+        backoff after a failure or timeout, then solved in-parent.  Late
+        results of abandoned attempts are discarded as stale."""
+        pool = self._ensure_pool()
+        tracer, breaker, budget = self.tracer, self.breaker, self.budget
         clock = time.monotonic
-        sentinel = 1 << (r_bits + mu)
-
-        by_label = {node.label: node for node in plan}
-        parent_of: dict[tuple[int, int], tuple[int, int]] = {}
-        waiting: dict[tuple[int, int], int] = {}
-        for node in plan:
-            waiting[node.label] = len(node.children)
-            for child in node.children:
-                parent_of[child] = node.label
-        root_label = plan[-1].label  # postorder: the root closes the plan
-        root_degree = by_label[root_label].degree
-
-        roots: dict[tuple[int, int], list] = {}
-        coeffs_ref: dict[tuple[int, int], tuple[str, bytes]] = {}
-        ys: dict[tuple[int, int], list[int]] = {}
-        signs: dict[tuple[int, int], list] = {}
-        gap_started: dict[tuple[int, int], list[bool]] = {}
-        gaps_left: dict[tuple[int, int], int] = {}
-
+        counted = not isinstance(self.counter, NullCounter)
         results_q: queue.Queue = queue.Queue()
-        completed: list[tuple[int, int]] = []
-        done = False
-
-        # Logical-task bookkeeping (see docstring).
-        body: dict[tuple, tuple[Any, tuple]] = {}      # original task bodies
-        attempts: dict[tuple, int] = {}                # pool attempts made
-        live: dict[int, tuple[tuple, float | None]] = {}  # tid -> (key, deadline)
-        done_keys: set[tuple] = set()
-        retry_due: list[tuple[float, int, tuple]] = []  # heap of resubmissions
+        attempts = dict.fromkeys(pending, 0)
+        live: dict[int, int] = {}  # attempt id -> task, submission order
+        deadlines: dict[int, float] = {}  # attempt id -> deadline if timed
+        retry_due: list[tuple[float, int]] = []  # heap of (due, i)
         inline_q: deque = deque()
-        retry_seq = 0
-        pool_successes = 0
-        timeouts_this_call = 0
+        left = len(pending)
+        n_dispatched = 0  # attempt ids = the fault plan's dispatch indices
+        pool_successes = timeouts = 0
+        start_pids = set(self.worker_pids())
 
-        # Live telemetry: sampled at every submit/complete event (no
-        # timer thread — the dispatch loop *is* the state machine, so
-        # its transitions are exactly the moments the series changes).
-        procs = self.processes
+        # Live telemetry, sampled at every submit/complete: the moments
+        # the series change (no timer thread).
         depth_gauge = self.metrics.gauge("executor.queue_depth")
         inflight_gauge = self.metrics.gauge("executor.in_flight")
         depth_hist = self.metrics.histogram("executor.queue_depth.samples")
 
         def sample() -> None:
-            pending = len(live)
-            inflight = pending if pending < procs else procs
-            depth = pending - inflight
+            inflight = min(len(live), self.processes)
+            depth = len(live) - inflight
             depth_gauge.set(depth)
             inflight_gauge.set(inflight)
             depth_hist.observe(depth)
@@ -834,253 +516,135 @@ class ParallelRootFinder:
                     self.sample_hook(depth, inflight)
                 except Exception:
                     pass
-            if capture:
-                tracer.sample("executor.queue_depth", depth)
-                tracer.sample("executor.in_flight", inflight)
+            tracer.sample("executor.queue_depth", depth)
+            tracer.sample("executor.in_flight", inflight)
 
-        dispatch_index = 0
-        task_seq = 0
-        start_pids = set(self.worker_pids())
+        def enqueue(tid: int, item: Any) -> None:  # pool's result thread
+            results_q.put((tid, item, time.perf_counter_ns()))
 
-        def enqueue(tid: int, item: Any) -> None:
-            # Runs on the pool's result-handler thread; Queue is safe.
-            results_q.put((tid, item))
-
-        def dispatch(key: tuple) -> None:
-            """One attempt at a logical task: pool if the breaker
-            admits it, in-parent otherwise."""
-            nonlocal dispatch_index, task_seq
-            if key in done_keys:
-                return
+        def dispatch(i: int) -> None:
+            """One attempt at task ``i``, unless the breaker refuses."""
+            nonlocal n_dispatched
             if not breaker.allow():
-                inline_q.append(key)
+                inline_q.append(i)
                 return
-            fn, payload = body[key]
+            tid = n_dispatched
+            n_dispatched += 1
+            fn, payload = solve_worker, self._payload(polys[i])
             if self.faults is not None:
-                fn, payload = self.faults.intercept(
-                    dispatch_index, fn, payload, self
-                )
-            dispatch_index += 1
-            attempts[key] += 1
-            tid = task_seq
-            task_seq += 1
-            deadline = (clock() + self.task_timeout
-                        if self.task_timeout is not None else None)
-            live[tid] = (key, deadline)
+                fn, payload = self.faults.intercept(tid, fn, payload, self)
+            attempts[i] += 1
+            live[tid] = i
             try:
-                pool.apply_async(
-                    fn, (payload,),
-                    callback=_partial(enqueue, tid),
-                    error_callback=_partial(enqueue, tid),
-                )
+                pool.apply_async(fn, (payload,),
+                                 callback=_partial(enqueue, tid),
+                                 error_callback=_partial(enqueue, tid))
             except Exception as exc:  # pool broken/closed underneath us
                 raise _Degraded(f"dispatch failed: {exc!r}") from exc
             sample()
 
-        def submit(fn, payload, key: tuple) -> None:
-            body[key] = (fn, payload)
-            attempts[key] = 0
-            dispatch(key)
-
-        def task_failed(key: tuple, reason: str) -> None:
-            nonlocal retry_seq
+        def failed(i: int, reason: str) -> None:
             breaker.record_failure()
-            if key in done_keys:
-                return
-            n = attempts[key]
-            if n <= retry.max_retries:
+            n = attempts[i]
+            if n <= self.retry.max_retries:
                 self.metrics.counter("executor.retries").inc()
-                tracer.event("executor_retry", task=key[0],
-                             node=list(key[1]), index=key[2],
-                             attempt=n, reason=reason)
-                retry_seq += 1
-                heapq.heappush(
-                    retry_due, (clock() + retry.delay(n), retry_seq, key)
-                )
+                tracer.event("executor_retry", index=i, attempt=n,
+                             reason=reason)
+                heapq.heappush(retry_due,
+                               (clock() + self.retry.delay(n), i))
             else:
-                tracer.event("executor_node_fallback", task=key[0],
-                             node=list(key[1]), index=key[2],
-                             attempts=n, reason=reason)
-                inline_q.append(key)
+                tracer.event("executor_inline", index=i, attempts=n,
+                             reason=reason)
+                inline_q.append(i)
 
-        def complete(label: tuple[int, int]) -> None:
-            nonlocal done
-            completed.append(label)
-            if label == root_label:
-                done = True
+        def finish(i: int, scaled: list[int]) -> None:
+            nonlocal left
+            results[i] = scaled
+            left -= 1
+            on_done(i, scaled)
 
-        def start_node(node: NodePlan) -> None:
-            if node.degree == 1:
-                # Leaves are linear — solved in the parent, as in the
-                # sequential path (paper: "easy to estimate").
-                roots[node.label] = [solve_linear_scaled(IntPoly(node.coeffs),
-                                                         mu)]
-                complete(node.label)
-                return
-            inter: list[int] = []
-            for child in node.children:
-                inter = merge_sorted(inter, roots[child])
-            ys_node = [-sentinel] + inter + [sentinel]
-            L = node.degree
-            ys[node.label] = ys_node
-            signs[node.label] = [None] * (L + 1)
-            gap_started[node.label] = [False] * L
-            gaps_left[node.label] = L
-            roots[node.label] = [None] * L
-            # Intern the coefficient tuple once per node: all 2L+1 task
-            # payloads share one pre-pickled (poly_key, blob) reference.
-            coeffs_ref[node.label] = intern_coeffs(node.coeffs, mu, strategy)
-            for t, y in enumerate(ys_node):
-                submit(sign_worker, (node.label, t, y,
-                                     coeffs_ref[node.label], mu,
-                                     r_bits, strategy, capture, profiled,
-                                     backend),
-                       node.sign_task(t))
+        def deliver(i: int, item: tuple, arrived_ns: int) -> None:
+            outcome, costs, spans, folded = item
+            if costs and counted:
+                self.counter.absorb(costs)
+            for stack, n in (folded or {}).items():
+                self._profile_folded[stack] = (
+                    self._profile_folded.get(stack, 0) + n)
+            if spans:  # on the lane of the pid the "solve" root carries
+                tracer.adopt(spans, key=spans[0]["attrs"].get("pid"),
+                             end_ns=arrived_ns)
+            if isinstance(outcome, PartialResult):
+                assert budget is not None  # only a budget makes partials
+                raise BudgetExceeded(outcome.reason, dataclasses.replace(
+                    outcome, elapsed_seconds=budget.elapsed_seconds(),
+                    bit_cost=budget.spent_bit_ops()))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            finish(i, outcome)
 
-        def on_sign(label: tuple[int, int], t: int, s: int) -> None:
-            node = by_label[label]
-            sg = signs[label]
-            sg[t] = s
-            ys_node = ys[label]
-            started = gap_started[label]
-            for gap in (t - 1, t):
-                if (0 <= gap < node.degree and not started[gap]
-                        and sg[gap] is not None and sg[gap + 1] is not None):
-                    started[gap] = True
-                    submit(gap_worker, (label, gap, ys_node[gap],
-                                        ys_node[gap + 1], sg[gap], sg[gap + 1],
-                                        node.sign_at_neg_inf,
-                                        coeffs_ref[label],
-                                        mu, r_bits, strategy, capture,
-                                        profiled, backend),
-                           node.gap_task(gap))
-
-        def on_gap(label: tuple[int, int], gap: int, val: int) -> None:
-            roots[label][gap] = val
-            gaps_left[label] -= 1
-            if gaps_left[label] == 0:
-                complete(label)
-
-        def deliver(item: tuple) -> None:
-            kind, label, idx, val, spans = item
-            done_keys.add((kind, label, idx))
-            if spans:
-                # Profile entries ride the span list but are not spans
-                # (no "sid"): split them off before adopting.
-                for entry in spans:
-                    if "sid" not in entry:
-                        self._merge_profile(entry.get("profile"))
-                spans = [sp for sp in spans if "sid" in sp]
-            if spans:
-                # Lane per OS process: spans carry the producing pid
-                # (in-parent execution lands on the parent's own lane).
-                pid = spans[0].get("attrs", {}).get("pid")
-                tracer.adopt(spans, key=pid)
-            if kind == "sign":
-                on_sign(label, idx, val)
-            else:
-                on_gap(label, idx, val)
-
-        def run_inline(key: tuple) -> None:
-            """Per-node sequential degradation: execute the original
-            task body in the parent process.  Exact by construction —
-            the body is the same code the worker would have run."""
-            if key in done_keys:
-                return
-            self.metrics.counter("executor.inline_tasks").inc()
-            fn, payload = body[key]
-            deliver(fn(payload))
-
-        def expire(now: float) -> None:
-            nonlocal timeouts_this_call, start_pids
-            expired = [tid for tid, (_k, dl) in live.items()
-                       if dl is not None and dl <= now]
-            for tid in expired:
-                key, _dl = live.pop(tid)
+        for i in pending:
+            dispatch(i)
+        while left:
+            if budget is not None:
+                budget.check(phase="executor", mu=self.mu, degree=degree)
+            if inline_q:
+                i = inline_q.popleft()
+                self.metrics.counter("executor.inline_tasks").inc()
+                finish(i, self._sequential_scaled(polys[i]))
+                continue
+            now = clock()
+            for tid in [t for t, dl in deadlines.items() if dl <= now]:
+                del deadlines[tid]
+                i = live.pop(tid)
+                timeouts += 1
                 self.metrics.counter("executor.task_timeouts").inc()
-                timeouts_this_call += 1
-                # A timeout with a changed worker-pid set means a worker
-                # died holding this task: the pool respawned the process
-                # but the in-flight attempt's result is gone for good.
+                # A changed worker-pid set means a worker died holding
+                # this attempt: its result is gone for good.
                 pids = set(self.worker_pids())
                 if pids != start_pids:
                     self.metrics.counter("executor.worker_failures").inc()
                     start_pids = pids
-                tracer.event("executor_task_timeout", task=key[0],
-                             node=list(key[1]), index=key[2],
+                tracer.event("executor_task_timeout", index=i,
                              timeout=self.task_timeout)
                 sample()
-                task_failed(key, "timeout")
-
-        for node in plan:  # seed: nodes with no root-producing children
-            if waiting[node.label] == 0:
-                start_node(node)
-
-        while True:
-            while completed:
-                label = completed.pop()
-                parent = parent_of.get(label)
-                if parent is not None:
-                    waiting[parent] -= 1
-                    if waiting[parent] == 0:
-                        start_node(by_label[parent])
-            if done:
-                break
-            if budget is not None:
-                partial_roots = [v for v in roots.get(root_label, ())
-                                 if v is not None]
-                budget.check(scaled=partial_roots, phase="executor.interval",
-                             mu=mu, degree=root_degree)
-            if inline_q:
-                run_inline(inline_q.popleft())
-                continue
-            now = clock()
-            expire(now)
+                failed(i, "timeout")
             while retry_due and retry_due[0][0] <= now:
-                _due, _seq, key = heapq.heappop(retry_due)
-                dispatch(key)
-            if inline_q or completed:
+                dispatch(heapq.heappop(retry_due)[1])
+            if inline_q:
                 continue
             if not live and not retry_due:
                 raise _Degraded("scheduler stalled with no pending tasks")
-            wake: list[float] = [dl for (_k, dl) in live.values()
-                                 if dl is not None]
-            if retry_due:
-                wake.append(retry_due[0][0])
-            wait = max(0.0, min(wake) - now) if wake else None
+            if self.task_timeout is not None:
+                # The pool runs attempts in submission order: only the
+                # oldest `processes` can be running, so start their clocks.
+                for tid in itertools.islice(live, self.processes):
+                    deadlines.setdefault(tid, now + self.task_timeout)
+            wake = [*deadlines.values(), *(due for due, _ in retry_due[:1])]
             try:
-                tid, item = results_q.get(timeout=wait)
+                tid, item, arrived_ns = results_q.get(
+                    timeout=max(0.0, min(wake) - now) if wake else None)
             except queue.Empty:
                 continue  # deadlines/retries are re-examined at the top
-            rec = live.pop(tid, None)
+            i = live.pop(tid, None)
+            deadlines.pop(tid, None)
             sample()
-            if rec is None:
-                # Result of an abandoned (timed-out) attempt arriving
-                # late: the logical task already moved on.  Discard.
+            if i is None:
+                # A late result of an abandoned (timed-out) attempt.
                 self.metrics.counter("executor.stale_results").inc()
                 continue
-            key, _dl = rec
             if isinstance(item, BaseException):
                 self.metrics.counter("executor.worker_failures").inc()
-                tracer.event("executor_task_error", task=key[0],
-                             node=list(key[1]), index=key[2],
+                tracer.event("executor_task_error", index=i,
                              error=repr(item))
-                task_failed(key, "error")
+                failed(i, "error")
                 continue
             pool_successes += 1
             breaker.record_success()
-            if key in done_keys:
-                self.metrics.counter("executor.stale_results").inc()
-                continue
-            deliver(item)
+            deliver(i, item, arrived_ns)
 
-        if timeouts_this_call and pool_successes == 0:
-            # Every pool interaction this call ended in a timeout: the
-            # pool is likely wedged (e.g. a worker died holding the
-            # shared queue lock).  Discard it so the next call starts
-            # from a fresh pool instead of timing out again.
-            tracer.event("executor_pool_suspect",
-                         timeouts=timeouts_this_call)
+        if timeouts and not pool_successes:
+            # Every pool interaction this call timed out: the pool is
+            # likely wedged (e.g. a worker died holding the shared queue
+            # lock).  Discard it so the next call starts fresh.
+            tracer.event("executor_pool_suspect", timeouts=timeouts)
             self._discard_pool()
-
-        return roots[root_label]

@@ -78,6 +78,15 @@ MAX_PRIORITY = 1_000_000
 #: request must not monopolize the shared pool for minutes).
 MAX_DEGREE = 512
 
+#: Coefficients may have at most this many decimal digits.  It equals
+#: CPython's default int/str conversion limit, which ``json.loads``
+#: enforces on integer literals, so a line the protocol rejects for
+#: size is rejected the same way whether it fails to parse or arrives
+#: already parsed; the ``poly_key`` of every accepted request stays
+#: computable.
+MAX_COEFF_DIGITS = 4300
+_COEFF_LIMIT = 10 ** MAX_COEFF_DIGITS
+
 
 class ProtocolError(ValueError):
     """The request object cannot be turned into work."""
@@ -184,6 +193,9 @@ def parse_request(
     if p.degree > MAX_DEGREE:
         raise ProtocolError(f"degree {p.degree} exceeds the limit "
                             f"({MAX_DEGREE})")
+    if any(abs(c) >= _COEFF_LIMIT for c in p.coeffs):
+        raise ProtocolError(f"a coefficient exceeds the limit "
+                            f"({MAX_COEFF_DIGITS} decimal digits)")
 
     mu = _int_field(obj, "bits", default_mu, 1)
     strategy = obj.get("strategy", default_strategy)

@@ -10,11 +10,13 @@ dispatcher is therefore the only code that touches the shared
 :class:`~repro.sched.executor.ParallelRootFinder` — per-request
 ``mu`` / ``strategy`` / :class:`~repro.resilience.budget.Budget`
 assignments need no locking, and the finder's worker pool stays warm
-across every request.  Parallelism lives *inside* a solve (the pool
-workers), not across solves; for the daemon's mixed small-degree
-traffic the solve lane is the fairness mechanism — one tenant's
-monster polynomial is bounded by its budget, not by starving others
-out of pool workers.
+across every request.  Each solve is one pool task: the whole
+polynomial runs in one worker, which isolates the daemon from a
+crashed or wedged solve (retry, timeout, breaker) and carries the
+request's budget, bit cost and spans back with the answer.  There is
+no parallelism inside a solve, nor across solves; the solve lane is
+the fairness mechanism — one tenant's monster polynomial is bounded
+by its budget, not by starving others out of pool workers.
 
 Determinism of the cache
 ------------------------

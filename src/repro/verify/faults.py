@@ -1,19 +1,19 @@
 """Deterministic fault injection for the parallel executor.
 
 The executor's reliability story — per-task timeouts, dead-worker
-respawn, graceful degradation to the certified sequential path — is
-only trustworthy if it is *exercised*.  This module injects three
-fault kinds at **chosen dispatch indices** (the executor numbers every
-``apply_async`` submission 0, 1, 2, ... within a call), so failure
-timing is reproducible rather than left to OS races:
+respawn, retries, in-parent solves — is only trustworthy if it is
+*exercised*.  This module injects four fault kinds at **chosen
+dispatch indices** (the executor numbers every ``apply_async``
+submission 0, 1, 2, ... within a call; one submission is one attempt
+at one whole polynomial), so failure timing is reproducible rather
+than left to OS races:
 
 * **poisoned task** (``poison_at``): the task body raises
   :class:`InjectedFault` inside the worker.  The pool routes the
-  exception back, the executor counts ``executor.worker_failures`` and
-  degrades to the sequential path.
+  exception back and the executor counts ``executor.worker_failures``.
 * **stalled task** (``stall_at``): the task body sleeps past the
-  executor's ``task_timeout``.  The dispatch loop times out, counts
-  ``executor.task_timeouts``, and degrades.
+  executor's ``task_timeout``.  The dispatch loop times out and counts
+  ``executor.task_timeouts``.
 * **worker death** (``kill_at``): the task body SIGKILLs *its own
   worker process* mid-task — the deterministic rendering of "a worker
   died while holding work".  The task's result never arrives, so the
@@ -27,14 +27,12 @@ timing is reproducible rather than left to OS races:
   result the executor must discard as stale
   (``executor.stale_results``).
 
-Since PR 5 the executor owns a resilience layer
-(:mod:`repro.resilience`): a faulted task is **retried** on a fresh
-worker (``executor.retries``), repeated failures trip a circuit
-breaker (``executor.breaker_open``) that routes task bodies to the
-parent process, and only a broken pool degrades the whole call
-(``executor.fallbacks``).  In every scenario the call still returns
-the exact, sequential-parity answer; the fault-matrix tests close the
-loop by certifying that answer with
+In each case the faulted polynomial is **retried** on a fresh worker
+(``executor.retries``); one that exhausts its retries, or that a
+tripped circuit breaker (``executor.breaker_open``) keeps off the pool,
+is solved in the parent process (``executor.inline_tasks``).  In every
+scenario the call still returns the exact, sequential-parity answer;
+the fault-matrix tests close the loop by certifying that answer with
 :func:`repro.core.certify.certify_roots` and asserting the exact
 counter increments.
 

@@ -118,6 +118,17 @@ class TestExportAdopt:
         tracks = [s.track for s in tr.spans if s.name == "gap"]
         assert tracks[0] == tracks[2] != tracks[1]
 
+    def test_adopt_end_ns_places_the_latest_end(self):
+        exported = self._worker_spans()
+        tr = Tracer()
+        with tr.span("parent"):
+            tr.adopt(exported, end_ns=10**12)
+        adopted = [s for s in tr.spans if s.track > 0]
+        assert max(s.end_ns for s in adopted) == 10**12
+        gap = next(s for s in adopted if s.name == "gap")
+        assert gap.end_ns - gap.start_ns == (exported[0]["end_ns"]
+                                             - exported[0]["start_ns"])
+
     def test_adopt_empty_is_noop(self):
         tr = Tracer()
         tr.adopt([])

@@ -203,8 +203,8 @@ class TestExecutorBudget:
         from repro.sched.executor import ParallelRootFinder
 
         p = IntPoly.from_roots([-5, -1, 2, 7, 11])
-        # Ceiling below the parent-side remainder/tree cost: the run
-        # must trip during the parent phases, deterministically.
+        # Ceiling below the remainder-sequence cost: the worker's budget
+        # trips at its first phase boundary, deterministically.
         counter = CostCounter()
         RealRootFinder(mu_bits=16, counter=counter).find_roots(p)
         with ParallelRootFinder(mu=16, processes=2,

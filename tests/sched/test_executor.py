@@ -11,42 +11,18 @@ from repro.costmodel.counter import CostCounter
 from repro.obs.trace import Tracer
 from repro.poly.dense import IntPoly
 from repro.poly.roots_bounds import cauchy_root_bound_bits, root_bound_bits
-from repro.sched.executor import ParallelRootFinder, solve_gap_worker
-
-
-class TestWorker:
-    def test_worker_solves_one_gap(self):
-        p = IntPoly.from_roots([-5, 3])
-        mu, r = 8, 4
-        sent = 1 << (r + mu)
-        gap, val, spans = solve_gap_worker((p.coeffs, mu, r, 0, -sent, 3 << mu))
-        assert gap == 0
-        assert val == (-5) << mu
-        assert spans is None
-
-    def test_worker_captures_spans_when_asked(self):
-        p = IntPoly.from_roots([-5, 3])
-        mu, r = 8, 4
-        sent = 1 << (r + mu)
-        gap, val, spans = solve_gap_worker(
-            (p.coeffs, mu, r, 0, -sent, 3 << mu, True)
-        )
-        assert val == (-5) << mu
-        assert spans and spans[0]["name"] == "gap"
-        assert spans[0]["end_ns"] is not None
-        # The worker's cost counter charged the solve to real phases.
-        assert any(d["cost"] for d in spans)
+from repro.sched.executor import ParallelRootFinder
 
 
 class TestRootBoundUnification:
     """The executor must pose the same interval problems as the
-    sequential path: one shared root-bound helper (regression for the
-    cauchy-vs-combined bound divergence)."""
+    sequential path (regression for the cauchy-vs-combined bound
+    divergence): its workers run the sequential finder itself."""
 
     def test_executor_uses_shared_bound_helper(self):
         import repro.sched.executor as ex
 
-        assert ex.root_bound_bits is root_bound_bits
+        assert ex.RealRootFinder is RealRootFinder
         assert not hasattr(ex, "cauchy_root_bound_bits")
 
     @pytest.mark.slow
@@ -85,14 +61,16 @@ class TestParallelFinder:
         with ParallelRootFinder(mu=mu, processes=2, tracer=tracer) as par:
             ref = RealRootFinder(mu_bits=mu).find_roots(p)
             assert par.find_roots_scaled(p) == ref.scaled
-        gap_spans = [s for s in tracer.spans if s.name == "gap"]
-        assert gap_spans, "worker spans were not adopted"
-        assert all(s.track > 0 for s in gap_spans)
-        # PREINTERVAL sign tasks are traced too (the shared-sign stage).
-        assert [s for s in tracer.spans if s.name == "sign"]
+        solves = [s for s in tracer.spans if s.name == "solve"]
+        assert len(solves) == 1, "worker spans were not adopted"
+        assert solves[0].track > 0
+        # The worker traces the whole solve, every phase on its lane.
+        worker = {s.name for s in tracer.spans if s.track > 0}
+        assert {"remainder", "tree.compute_polynomials",
+                "interval.solve"} <= worker
         assert all(s.end_ns is not None for s in tracer.spans)
         # Worker-side costs made it back through the pool.
-        assert any(s.bit_cost > 0 for s in gap_spans)
+        assert solves[0].bit_cost > 0
 
     def test_pool_lifecycle_spans(self):
         tracer = Tracer(counter=CostCounter())
@@ -136,11 +114,18 @@ class TestParallelFinder:
         sampled = {name for _t, name, _v in tracer.counters}
         assert {"executor.queue_depth", "executor.in_flight"} <= sampled
 
-    def test_fallback_registers_in_metrics(self):
+    def test_fallback_registers_in_metrics(self, monkeypatch):
+        class BrokenPool:
+            _pool = []
+
+            def apply_async(self, *args, **kwargs):
+                raise ValueError("Pool not running")
+
         p = IntPoly.from_roots([-5, 2, 7])
         finder = ParallelRootFinder(mu=10, processes=2)
+        monkeypatch.setattr(finder, "_ensure_pool", BrokenPool)
         ref = RealRootFinder(mu_bits=10).find_roots(p)
-        assert finder._sequential_scaled(p) == ref.scaled
+        assert finder.find_roots_scaled(p) == ref.scaled
         assert finder.metrics.counter("executor.fallbacks").value == 1
         assert finder.fallback_count == 1
 
@@ -151,8 +136,8 @@ class TestParallelFinder:
         # holding the inqueue read-lock (a ~50/50 race — an idle worker
         # blocks in recv *inside* the lock), the respawned worker can
         # never read tasks; every attempt then times out, the breaker
-        # trips, and the tasks complete in-parent (per-node degradation)
-        # while the wedged pool is discarded for the next call.
+        # trips, and the polynomial is solved in-parent while the
+        # wedged pool is discarded for the next call.
         with ParallelRootFinder(mu=12, processes=2,
                                 task_timeout=3.0) as par:
             assert par.find_roots_scaled(p) == ref.scaled
@@ -166,9 +151,9 @@ class TestParallelFinder:
                     break
                 time.sleep(0.05)
             assert victim not in par.worker_pids()
-            # The exact answer comes back either way: pipelined on the
+            # The exact answer comes back either way: from the
             # respawned pool, or in-parent if the lock was orphaned —
-            # the whole-polynomial fallback is never needed.
+            # the broken-pool fallback is never needed.
             assert par.find_roots_scaled(p) == ref.scaled
             assert par.fallback_count == 0
 

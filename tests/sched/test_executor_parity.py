@@ -10,11 +10,14 @@ sequential fallback would make parity trivially true).
 
 import pytest
 
+from repro.bench.workloads import square_free_characteristic_input
+from repro.core.remainder import NotRealRootedError
 from repro.core.rootfinder import RealRootFinder
+from repro.core.scaling import digits_to_bits
 from repro.core.tree import InterleavingTree
 from repro.costmodel.counter import CostCounter
 from repro.poly.dense import IntPoly
-from repro.sched.executor import ParallelRootFinder
+from repro.sched.executor import ParallelRootFinder, solve_worker
 
 MU = 16
 
@@ -83,13 +86,44 @@ def test_pool_reused_across_calls():
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("n", [66, 70])
+def test_paper_scale_parity(n):
+    # The paper's largest charpolys: interior tree polynomials pass
+    # CPython's 4300-digit int/str limit here, which once broke every
+    # pool path.
+    mu = digits_to_bits(16)
+    p = square_free_characteristic_input(n, 11).poly
+    expected = sequential_scaled(p, mu=mu)
+    with ParallelRootFinder(mu=mu, processes=2) as f:
+        assert f.find_roots_scaled(p) == expected
+        assert f.find_roots_many([p, IntPoly.from_roots([-2, 3])]) == [
+            expected, sequential_scaled(IntPoly.from_roots([-2, 3]), mu=mu)]
+        assert f.fallback_count == 0
+
+
+@pytest.mark.slow
+def test_counted_total_matches_sequential():
+    # A charging counter makes the workers count their whole solves;
+    # the absorbed totals equal the sequential finder's, phase by phase.
+    polys = [IntPoly.from_roots(ROOTS_BY_DEGREE[8]),
+             IntPoly.from_roots([2, 2, -5, 1])]
+    ref = CostCounter()
+    for p in polys:
+        RealRootFinder(mu_bits=MU, counter=ref).find_roots(p)
+    with ParallelRootFinder(mu=MU, processes=2, counter=CostCounter()) as f:
+        f.find_roots_many(polys)
+        assert f.counter.total_bit_cost == ref.total_bit_cost
+        assert f.counter.snapshot() == ref.snapshot()
+
+
+@pytest.mark.slow
 def test_timeout_degrades_per_node_not_whole_poly():
     p = IntPoly.from_roots([-7, -2, 4, 9])
     # No pool worker can possibly finish within 0.1ms of dispatch (the
     # spawned interpreters are still booting), so every attempt times
-    # out deterministically.  The degradation ladder finishes each task
-    # in-parent — never the whole-polynomial sequential fallback — and
-    # the call must still return the exact answer.
+    # out deterministically.  The degradation ladder solves the
+    # polynomial in-parent as an inline task — never the broken-pool
+    # fallback — and the call must still return the exact answer.
     with ParallelRootFinder(mu=MU, processes=2, task_timeout=1e-4) as f:
         assert f.find_roots_scaled(p) == sequential_scaled(p)
         assert f.fallback_count == 0
@@ -125,18 +159,29 @@ class TestEdgeCases:
             ParallelRootFinder(mu=8, processes=0)
 
     @pytest.mark.slow
+    def test_solve_error_is_raised_without_retries(self):
+        # x^2 + 1 has no real roots: the worker's finder rejects it the
+        # same way on every attempt, so it is no pool failure.
+        with ParallelRootFinder(mu=8, processes=2) as f:
+            with pytest.raises(NotRealRootedError):
+                f.find_roots_scaled(IntPoly((1, 0, 1)))
+            assert f.metrics.counter("executor.retries").value == 0
+            assert f.breaker.consecutive_failures == 0
+
+    @pytest.mark.slow
     def test_repeated_roots_square_free_fallback(self):
         p = IntPoly.from_roots([2, 2, -5, -5, -5, 1])
         with ParallelRootFinder(mu=MU, processes=2) as f:
             assert f.find_roots_scaled(p) == sequential_scaled(p)
-            assert f.fallback_count == 1, \
-                "repeated roots must take the square-free fallback"
+            assert f.fallback_count == 0, \
+                "the worker's square-free reduction needs no fallback"
 
 
 class TestCheckTreeThreading:
     """Satellite #2: the parallel path must run (and skip) the
     Theorem-1 verification exactly as configured, with the counter
-    threaded through."""
+    threaded through.  The tree is built inside the worker, so these
+    run the worker body in-process on the finder's own payload."""
 
     @staticmethod
     def _spy_compute(monkeypatch):
@@ -153,19 +198,19 @@ class TestCheckTreeThreading:
         monkeypatch.setattr(InterleavingTree, "compute_polynomials", spy)
         return seen
 
-    @pytest.mark.slow
     def test_check_tree_defaults_on_and_counter_threaded(self, monkeypatch):
         seen = self._spy_compute(monkeypatch)
-        counter = CostCounter()
-        with ParallelRootFinder(mu=8, processes=2, counter=counter) as f:
-            f.find_roots_scaled(IntPoly.from_roots([-3, 2, 6]))
+        p = IntPoly.from_roots([-3, 2, 6])
+        f = ParallelRootFinder(mu=8, processes=2, counter=CostCounter())
+        outcome, costs, _spans, _folded = solve_worker(f._payload(p))
+        assert outcome == sequential_scaled(p, mu=8)
         assert seen["check"] is True
-        assert seen["counter"] is counter
-        assert counter.total_bit_cost > 0, "parent phases charge the counter"
+        assert isinstance(seen["counter"], CostCounter)
+        f.counter.absorb(costs)
+        assert f.counter.total_bit_cost > 0, "the solve charges the counter"
 
-    @pytest.mark.slow
     def test_check_tree_off_is_honored(self, monkeypatch):
         seen = self._spy_compute(monkeypatch)
-        with ParallelRootFinder(mu=8, processes=2, check_tree=False) as f:
-            f.find_roots_scaled(IntPoly.from_roots([-3, 2, 6]))
+        f = ParallelRootFinder(mu=8, processes=2, check_tree=False)
+        solve_worker(f._payload(IntPoly.from_roots([-3, 2, 6])))
         assert seen["check"] is False

@@ -4,6 +4,7 @@ import pytest
 
 from repro.serve.protocol import (
     HTTP_REASONS,
+    MAX_COEFF_DIGITS,
     MAX_DEGREE,
     MAX_PRIORITY,
     ProtocolError,
@@ -73,6 +74,12 @@ class TestParseRequest:
         coeffs[0] = 1
         with pytest.raises(ProtocolError, match="exceeds the limit"):
             parse({"coeffs": coeffs})
+
+    def test_coefficient_size_cap(self):
+        limit = 10 ** MAX_COEFF_DIGITS
+        assert parse({"coeffs": [1 - limit, 0, 1]}).coeffs[0] == 1 - limit
+        with pytest.raises(ProtocolError, match="decimal digits"):
+            parse({"coeffs": [-limit, 0, 1]})
 
     def test_overrides(self):
         req = parse({"coeffs": [-2, 0, 1], "bits": 24,

@@ -542,3 +542,30 @@ class TestRealPool:
         # The pool was alive during the run and fully joined after.
         assert pids
         assert server.finder.worker_pids() == []
+
+    def test_paper_scale_request_is_ok(self):
+        """A degree-70 paper charpoly through the real pool: its tree
+        polynomials pass CPython's int/str digit limit, which once
+        made this request a code-500 error."""
+        from repro.bench.workloads import square_free_characteristic_input
+        from repro.core.rootfinder import RealRootFinder
+
+        p = square_free_characteristic_input(70, 11).poly
+        counter = CostCounter()
+        expected = [str(s) for s in RealRootFinder(
+            mu_bits=53, counter=counter).find_roots(p).scaled]
+
+        async def go():
+            server = RootServer(mu=53, processes=2, cache_dir="")
+            await server.start()
+            resp = await server.submit({"id": 70, "coeffs": list(p.coeffs)})
+            await server.aclose()
+            return server, resp
+
+        server, resp = run(go())
+        assert resp["status"] == "ok", resp
+        assert resp["scaled"] == expected
+        # The solve stage's bit cost covers the worker's whole solve.
+        [tl] = server.tracker.ring.snapshot()
+        [solve] = [st for st in tl.stages if st.name == "solve"]
+        assert solve.bit_cost == counter.total_bit_cost

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from repro.serve.protocol import MAX_COEFF_DIGITS
 from repro.serve.server import RootServer
 from repro.serve.stdio import serve_stdio
 
@@ -87,6 +88,23 @@ class TestStdioProtocol:
         unknown = next(r for r in resps if r.get("id") == "d")
         assert unknown["status"] == "error" and "dance" in unknown["error"]
         assert any(r.get("id") == 1 and r["status"] == "ok" for r in resps)
+
+    def test_oversize_integer_literal_is_rejected(self):
+        # json.loads refuses an integer literal longer than the
+        # protocol's digit limit with a plain ValueError; the daemon
+        # answers that line and keeps serving the ones after it.
+        big = "-1" + "0" * (MAX_COEFF_DIGITS + 700)
+        code, resps, _ = run_stdio([
+            '{"id": 1, "coeffs": [%s, 0, 1]}' % big,
+            json.dumps({"op": "ping", "id": "p"}),
+            json.dumps({"id": 2, "coeffs": [-2, 0, 1]}),
+        ])
+        assert code == 0
+        assert len(resps) == 3
+        by_id = {r["id"]: r for r in resps}
+        assert by_id[1]["status"] == "error" and by_id[1]["code"] == 400
+        assert by_id["p"]["op"] == "ping"
+        assert by_id[2]["status"] == "ok"
 
     def test_eof_drains_without_shutdown_line(self):
         code, resps, server = run_stdio([

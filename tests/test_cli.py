@@ -107,7 +107,7 @@ class TestBatch:
             trace = json.load(fh)
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert "pool.spawn" in names and "executor.batch" in names
-        assert "gap" in names  # adopted worker spans
+        assert "solve" in names  # adopted worker spans
 
     def test_batch_requires_input(self):
         with pytest.raises(SystemExit):
@@ -117,6 +117,10 @@ class TestBatch:
         f = tmp_path / "bad.jsonl"
         f.write_text("not json\n")
         with pytest.raises(SystemExit):
+            main(["batch", "--file", str(f)])
+        # An integer literal json.loads refuses to convert.
+        f.write_text("[-1%s, 0, 1]\n" % ("0" * 5000))
+        with pytest.raises(SystemExit, match="not valid JSON"):
             main(["batch", "--file", str(f)])
 
 

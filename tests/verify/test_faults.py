@@ -2,11 +2,15 @@
 deterministic poisoned tasks, stalls, worker death, injected latency,
 and sustained failure (circuit breaker).
 
-Every scenario must (a) still return the exact sequential-parity
-answer, (b) pass the exact Sturm certificate, and (c) increment
-exactly the right ``executor.*`` reliability counters — single faults
-are absorbed by retries (``executor.fallbacks`` stays 0), sustained
-failure trips the breaker and degrades per-node, never whole-poly.
+Every scenario runs a four-polynomial ``find_roots_many`` batch — one
+pool task per polynomial, so dispatch indices 0-3 are the first
+attempts and retries take 4 onwards — and must (a) still return the
+exact sequential-parity answers, (b) pass the exact Sturm certificate,
+and (c) increment exactly the right ``executor.*`` reliability
+counters — single faults are absorbed by retries
+(``executor.fallbacks`` stays 0), sustained failure trips the breaker
+and solves the refused polynomials in-parent (``executor.inline_tasks``),
+never through the broken-pool fallback.
 
 Set ``REPRO_FAULT_LOG=/path/events.jsonl`` to capture the structured
 event log of every scenario (retry/timeout/breaker events) — CI
@@ -27,13 +31,15 @@ from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.sched.executor import ParallelRootFinder
 from repro.verify.faults import FaultPlan, InjectedFault, poison_worker
 
-P = IntPoly.from_roots([-5, -1, 2, 7, 11])
+BATCH = [IntPoly.from_roots(r) for r in
+         ([-5, -1, 2, 7, 11], [-9, -4, 0, 3, 8], [-6, -2, 1, 5, 10],
+          [-8, -3, 2, 4, 9])]
 MU = 16
 
 
 @pytest.fixture(scope="module")
 def reference():
-    return RealRootFinder(mu_bits=MU).find_roots(P)
+    return [RealRootFinder(mu_bits=MU).find_roots(p) for p in BATCH]
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +75,16 @@ def _run_with(plan, reference, fault_log, **kwargs):
     kwargs.setdefault("task_timeout", 2.0)
     with ParallelRootFinder(mu=MU, processes=2, faults=plan,
                             tracer=_tracer(fault_log), **kwargs) as finder:
-        got = finder.find_roots_scaled(P)
-        assert got == reference.scaled
-        certify_roots(P, got, reference.multiplicities, MU)
+        got = finder.find_roots_many(BATCH)
+        assert got == [ref.scaled for ref in reference]
+        for p, scaled, ref in zip(BATCH, got, reference):
+            certify_roots(p, scaled, ref.multiplicities, MU)
         return finder.fallback_count, _fired(finder)
 
 
 class TestSingleFaultRetries:
-    """One faulted task is absorbed by one retry: the call still
-    completes *in parallel* — no sequential fallback of any kind."""
+    """One faulted task is absorbed by one retry: the batch still
+    completes on the pool — no in-parent solve of any kind."""
 
     def test_poisoned_task(self, reference, fault_log):
         plan = FaultPlan(poison_at={1})
@@ -126,6 +133,20 @@ class TestSingleFaultRetries:
         fired.pop("stale_results", None)
         assert fired == {"retries": 1, "task_timeouts": 1}
 
+    def test_queueing_is_not_charged_to_the_timeout(self, reference,
+                                                    fault_log):
+        # Four 1.2 s tasks on two warm workers: the last two wait 1.2 s
+        # for a worker, which must not count against their 2 s deadline.
+        plan = FaultPlan(slow_at={0, 1, 2, 3}, slow_seconds=1.2)
+        with ParallelRootFinder(mu=MU, processes=2, task_timeout=2.0,
+                                tracer=_tracer(fault_log)) as finder:
+            finder.find_roots_scaled(BATCH[0])  # spawn the pool first
+            finder.faults = plan
+            got = finder.find_roots_many(BATCH)
+            assert got == [ref.scaled for ref in reference]
+            assert len(plan.injected) == 4
+            assert _fired(finder) == {}
+
     def test_fault_free_plan_is_inert(self, reference, fault_log):
         plan = FaultPlan()
         fallbacks, fired = _run_with(plan, reference, fault_log)
@@ -135,8 +156,8 @@ class TestSingleFaultRetries:
 
 
 class TestDegradationLadder:
-    """Retries exhausted -> in-parent (per-node) execution; sustained
-    failure -> breaker trips and routes around the pool entirely."""
+    """Retries exhausted -> in-parent solve of that polynomial;
+    sustained failure -> breaker trips and routes around the pool."""
 
     def test_no_retries_goes_straight_inline(self, reference, fault_log):
         plan = FaultPlan(poison_at={1})
@@ -147,18 +168,22 @@ class TestDegradationLadder:
 
     def test_sustained_poison_trips_breaker(self, reference, fault_log):
         # Every pool submission is poisoned: after failure_threshold
-        # consecutive failures the breaker opens and the remaining task
-        # bodies run in the parent.  The answer is still exact and the
-        # whole-poly fallback is never taken.
+        # consecutive failures the breaker opens and the remaining
+        # polynomials are solved in the parent.  The answers are still
+        # exact and the broken-pool fallback is never taken.
         plan = FaultPlan(poison_at=frozenset(range(10_000)))
         breaker = CircuitBreaker(failure_threshold=3, cooldown_seconds=60.0)
+        # A backoff far longer than a poisoned attempt lets all four
+        # first attempts fail before any retry is due.
+        retry = RetryPolicy(backoff_base=0.5, backoff_max=0.5)
         fallbacks, fired = _run_with(plan, reference, fault_log,
-                                     breaker=breaker)
+                                     breaker=breaker, retry=retry)
+        # The four first attempts fail and open the breaker (threshold
+        # 3); it refuses every retry, so each polynomial is scheduled
+        # for one retry and then solved in-parent.
         assert fallbacks == 0
-        assert fired["breaker_open"] == 1
-        assert fired["inline_tasks"] > 0
-        assert fired["worker_failures"] >= 3
-        assert "fallbacks" not in fired
+        assert fired == {"breaker_open": 1, "worker_failures": 4,
+                         "retries": 4, "inline_tasks": 4}
 
     def test_breaker_recovers_through_half_open(self, reference, fault_log):
         # threshold 1 + zero cool-down: the single poisoned task opens
@@ -170,9 +195,9 @@ class TestDegradationLadder:
         fallbacks, fired = _run_with(plan, reference, fault_log,
                                      breaker=breaker)
         assert fallbacks == 0
-        assert fired["breaker_open"] == 1
-        assert fired["breaker_half_open"] == 1
-        assert fired["breaker_close"] == 1
+        assert fired == {"breaker_open": 1, "breaker_half_open": 1,
+                         "breaker_close": 1, "retries": 1,
+                         "worker_failures": 1}
         assert breaker.state == "closed"
 
     def test_finder_stays_usable_after_faults(self, reference, fault_log):
@@ -180,10 +205,11 @@ class TestDegradationLadder:
         with ParallelRootFinder(mu=MU, processes=2, task_timeout=2.0,
                                 faults=plan,
                                 tracer=_tracer(fault_log)) as finder:
-            assert finder.find_roots_scaled(P) == reference.scaled
+            expected = [ref.scaled for ref in reference]
+            assert finder.find_roots_many(BATCH) == expected
             finder.faults = None  # second call: healthy pool, no faults
             before = _fired(finder)
-            assert finder.find_roots_scaled(P) == reference.scaled
+            assert finder.find_roots_many(BATCH) == expected
             assert finder.fallback_count == 0
             assert _fired(finder) == before  # clean second call
 
